@@ -39,17 +39,15 @@ use crate::datastore::{
 };
 use crate::message::{Envelope, Message};
 use crate::runtime::{Node, NodeRuntime, PlanEngine, RuntimeConfig};
-use crate::wal::{NodeWal, WalConfig, WalStore};
+use crate::wal::{self, Durable, EventRecord, Journal, NodeWal, WalConfig, WalStore};
 use crate::wire::{
     DedupRx, LinkHealth, LinkHealthConfig, LinkHealthStats, LinkState, RetransmitTracker,
 };
 use mirabel_aggregate::{
     AggregateUpdate, AggregationParams, AggregationPipeline, BinPackerConfig, FlexOfferUpdate,
 };
-use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
-use mirabel_core::{
-    AggregateId, FlexOffer, FlexOfferId, NodeId, Price, ScheduledFlexOffer, TimeSlot,
-};
+use mirabel_core::codec::{CodecError, Wire};
+use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, ScheduledFlexOffer, TimeSlot};
 use mirabel_forecast::{ForecastEvent, ForecastModel, HwtConfig, HwtModel, Seasonality};
 use mirabel_negotiate::{AcceptanceDecision, AcceptancePolicy, PreExecutionPricing};
 use mirabel_schedule::{evaluate, MarketPrices, SchedulingProblem, Solution};
@@ -161,18 +159,11 @@ pub struct BrpNode {
     /// sender only, never iterated, so its order cannot leak into
     /// results (snapshots sort by sender before encoding).
     rx: HashMap<u64, DedupRx, crate::comm::IdHashBuilder>,
-    /// Optional write-ahead event log: when attached, every accepted
-    /// inbound envelope (and every outbox flush) is appended *before*
-    /// the state mutation it causes, with snapshot-then-truncate
-    /// compaction bounding replay length.
-    wal: Option<NodeWal>,
-    /// Set while [`BrpNode::recover`] re-drives logged events through
-    /// the handlers: suppresses WAL re-appends (and lets callers drop
-    /// the regenerated replies, which were already sent pre-crash).
-    replaying: bool,
-    /// Event id of the most recently ingested envelope — the causation
-    /// link stamped onto the outbox-flush records it triggers.
-    last_ingest_event: Option<u64>,
+    /// Write-ahead journal: with a WAL attached, every accepted inbound
+    /// envelope (and every outbound marker) is appended *before* the
+    /// state mutation it causes, with snapshot-then-truncate compaction
+    /// bounding replay length.
+    journal: Journal,
     /// Failure detector for the TSO link (meaningful in TSO mode only).
     health: LinkHealth,
     /// Piggybacked-ack bookkeeping for upward outbox flushes.
@@ -214,54 +205,32 @@ pub struct IslandedRound {
     pub assignments: usize,
 }
 
-/// Decoded form of the state snapshot a BRP installs at WAL compaction
-/// points: the offer pool (with source nodes) plus the per-sender
-/// duplicate-filter states. Everything else a BRP holds — aggregates,
-/// exports, outbox — is *derived* and is rebuilt by re-feeding the pool
-/// through the aggregation pipeline on restore.
-struct BrpSnapshot {
+/// The state snapshot a BRP installs at WAL compaction points: the
+/// offer pool (with source nodes) plus the per-sender duplicate-filter
+/// states. Everything else a BRP holds — aggregates, exports, outbox —
+/// is *derived* and is rebuilt by re-feeding the pool through the
+/// aggregation pipeline on restore.
+pub(crate) struct BrpSnapshot {
     pool: Vec<(FlexOffer, NodeId)>,
-    /// `(sender, delivered_below, seen, duplicates)` per inbound stream.
-    rx: Vec<(u64, u64, Vec<u64>, u64)>,
+    /// Duplicate-filter state per inbound sender, ascending.
+    rx: Vec<(u64, DedupState)>,
 }
 
-impl BrpSnapshot {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.pool.len() as u64);
-        for (offer, from) in &self.pool {
-            offer.encode(&mut out);
-            from.encode(&mut out);
-        }
-        put_u64(&mut out, self.rx.len() as u64);
-        for (sender, below, seen, dups) in &self.rx {
-            put_u64(&mut out, *sender);
-            put_u64(&mut out, *below);
-            seen.encode(&mut out);
-            put_u64(&mut out, *dups);
-        }
-        out
+/// `(delivered_below, (seen, duplicates))` of one [`DedupRx`], nested in
+/// pairs for the tuple codec.
+type DedupState = (u64, (Vec<u64>, u64));
+
+impl Wire for BrpSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.pool.encode(out);
+        self.rx.encode(out);
     }
 
-    fn decode(mut buf: &[u8]) -> Result<BrpSnapshot, CodecError> {
-        let buf = &mut buf;
-        let pool_len = usize::decode(buf)?;
-        let mut pool = Vec::with_capacity(pool_len.min(buf.len()));
-        for _ in 0..pool_len {
-            let offer = FlexOffer::decode(buf)?;
-            let from = NodeId::decode(buf)?;
-            pool.push((offer, from));
-        }
-        let rx_len = usize::decode(buf)?;
-        let mut rx = Vec::with_capacity(rx_len.min(buf.len() + 1));
-        for _ in 0..rx_len {
-            let sender = take_u64(buf)?;
-            let below = take_u64(buf)?;
-            let seen = Vec::<u64>::decode(buf)?;
-            let dups = take_u64(buf)?;
-            rx.push((sender, below, seen, dups));
-        }
-        Ok(BrpSnapshot { pool, rx })
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(BrpSnapshot {
+            pool: Vec::decode(buf)?,
+            rx: Vec::decode(buf)?,
+        })
     }
 }
 
@@ -286,9 +255,7 @@ impl BrpNode {
             exports: BTreeMap::new(),
             outbox: BTreeMap::new(),
             rx: HashMap::default(),
-            wal: None,
-            replaying: false,
-            last_ingest_event: None,
+            journal: Journal::default(),
             health,
             retransmit: RetransmitTracker::default(),
             parent_heard: 0,
@@ -304,18 +271,18 @@ impl BrpNode {
     /// the node installs a compacting snapshot every
     /// [`WalConfig::snapshot_every`] events.
     pub fn attach_wal(&mut self, wal: NodeWal) {
-        self.wal = Some(wal);
+        self.journal.wal = Some(wal);
     }
 
     /// The attached WAL, if any (diagnostics: tail length, io errors).
     pub fn wal(&self) -> Option<&NodeWal> {
-        self.wal.as_ref()
+        self.journal.wal.as_ref()
     }
 
     /// Detach and return the WAL (the chaos harness keeps the "disk"
     /// alive across a simulated crash this way).
     pub fn take_wal(&mut self) -> Option<NodeWal> {
-        self.wal.take()
+        self.journal.wal.take()
     }
 
     /// Network-injected duplicates this node's at-most-once filters
@@ -344,69 +311,14 @@ impl BrpNode {
         digest
     }
 
-    /// Encode the node's durable state for a WAL snapshot.
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut rx: Vec<(u64, u64, Vec<u64>, u64)> = self
-            .rx
-            .iter()
-            .map(|(sender, dedup)| {
-                let (below, seen, dups) = dedup.export_state();
-                (*sender, below, seen, dups)
-            })
-            .collect();
-        // The rx map is a HashMap: sort so snapshot bytes (and thus WAL
-        // contents) are identical across runs.
-        rx.sort_unstable_by_key(|row| row.0);
-        BrpSnapshot {
-            pool: self
-                .pool
-                .values()
-                .map(|(offer, from)| (offer.clone(), *from))
-                .collect(),
-            rx,
-        }
-        .encode()
-    }
-
-    /// Restore from a decoded snapshot: the pool is re-fed through the
-    /// aggregation pipeline (which rebuilds aggregates, exports and
-    /// outbox as a full refresh — the parent's pooled view is then
-    /// reconciled by the recovery resync snapshot), and the duplicate
-    /// filters resume where the crashed node's windows stood.
-    fn restore_snapshot(&mut self, snap: BrpSnapshot) {
-        let mut inserts = Vec::with_capacity(snap.pool.len());
-        for (offer, from) in snap.pool {
-            inserts.push(FlexOfferUpdate::Insert(offer.clone()));
-            self.pool.insert(offer.id(), (offer, from));
-        }
-        if !inserts.is_empty() {
-            self.apply_updates(inserts);
-        }
-        self.rx.clear();
-        for (sender, below, seen, dups) in snap.rx {
-            self.rx
-                .insert(sender, DedupRx::from_state(below, seen, dups));
-        }
-    }
-
-    /// Install a compacting snapshot when the WAL's tail has grown past
-    /// its configured bound.
-    fn maybe_compact(&mut self) {
-        if self.wal.as_ref().is_some_and(NodeWal::wants_snapshot) {
-            let bytes = self.snapshot_bytes();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.install_snapshot(&bytes);
-            }
-        }
-    }
-
     /// Rebuild a crashed BRP from its surviving WAL store: restore the
     /// latest snapshot, replay the events appended since (with the
     /// original handling clock, replies suppressed — they were already
     /// sent pre-crash), resume the WAL, and emit a voluntary
     /// [`Message::ResyncSnapshot`] to the parent so its pooled view
     /// re-anchors on the recovered export set. Returns the node plus the
-    /// recovery envelopes to route.
+    /// recovery envelopes to route. A snapshot that does not decode fails
+    /// with [`std::io::ErrorKind::InvalidData`].
     pub fn recover(
         id: NodeId,
         parent: Option<NodeId>,
@@ -415,86 +327,14 @@ impl BrpNode {
         wal_config: WalConfig,
         now: TimeSlot,
     ) -> std::io::Result<(BrpNode, Vec<Envelope>)> {
-        let (wal, snapshot, records) = NodeWal::recover(store, wal_config)?;
-        let mut node = BrpNode::new(id, parent, config);
-        if let Some(bytes) = snapshot {
-            if let Ok(snap) = BrpSnapshot::decode(&bytes) {
-                node.restore_snapshot(snap);
-            }
-        }
-        node.replaying = true;
-        for rec in records {
-            if rec.replay_safe && rec.envelope.to == id {
-                // Re-drive the ingest through the real handler; the
-                // regenerated replies are dropped.
-                let _ = BrpNode::handle(&mut node, rec.envelope, rec.recorded_at);
-            } else if rec.envelope.from == id {
-                match rec.envelope.message {
-                    // Outbox-flush marker: these staged deltas left the
-                    // node before the crash — replay the flush as the
-                    // state transition it was.
-                    Message::MacroOfferDeltas(_) => node.outbox.clear(),
-                    // Provisional markers: non-empty = an islanded
-                    // commit's macro ledger (re-apply it so the pool
-                    // effect of the crashed commit is reproduced); empty
-                    // = the reconciliation hand-off that cleared it.
-                    Message::ProvisionalReport { assignments, .. } => {
-                        if assignments.is_empty() {
-                            node.provisional.clear();
-                        } else {
-                            for s in assignments {
-                                node.provisional.insert(s.offer_id, s.clone());
-                                let _ = node.apply_macro_assignment(
-                                    s,
-                                    Price(0.0),
-                                    rec.recorded_at,
-                                    OfferState::Provisional,
-                                );
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        node.replaying = false;
-        node.wal = Some(wal);
-        let mut out = Vec::new();
-        if node.config.forward_to_tso {
-            if let Some(parent) = node.parent {
-                // A restart is a reconciliation point: if the crashed
-                // node died mid-island, its rebuilt provisional ledger
-                // ships ahead of the re-anchoring snapshot, exactly like
-                // a live heal would send it.
-                if !node.provisional.is_empty() {
-                    let assignments: Vec<ScheduledFlexOffer> =
-                        node.provisional.values().cloned().collect();
-                    node.provisional.clear();
-                    if let Some(wal) = node.wal.as_mut() {
-                        let marker = Envelope::new(
-                            node.id,
-                            parent,
-                            now,
-                            Message::ProvisionalReport {
-                                window_start: now,
-                                assignments: Vec::new(),
-                            },
-                        );
-                        wal.append(&marker, None, false, now);
-                    }
-                    out.push(Envelope::new(
-                        node.id,
-                        parent,
-                        now,
-                        Message::ProvisionalReport {
-                            window_start: now,
-                            assignments,
-                        },
-                    ));
-                }
-                out.extend(node.on_resync_request(parent, now));
-            }
-        }
+        let mut node = wal::recover(BrpNode::new(id, parent, config), store, wal_config)?;
+        // A restart is a reconciliation point: if the crashed node died
+        // mid-island, its rebuilt provisional ledger ships ahead of the
+        // re-anchoring snapshot, exactly like a live heal would send it.
+        let out = match node.parent {
+            Some(parent) if node.config.forward_to_tso => node.reconcile(parent, now),
+            _ => Vec::new(),
+        };
         Ok((node, out))
     }
 
@@ -591,11 +431,7 @@ impl BrpNode {
         // so replay re-runs the duplicate filter through the exact same
         // state sequence. `recorded_at` pins the handling clock so
         // replayed deadline decisions match the originals.
-        if !self.replaying {
-            if let Some(wal) = self.wal.as_mut() {
-                self.last_ingest_event = Some(wal.append(&envelope, None, true, now));
-            }
-        }
+        self.journal.ingest(&envelope, now);
         // Any accepted envelope from the parent is proof of TSO life —
         // the failure detector restarts its silence clock on it, and the
         // count is what this node's own heartbeats piggyback as an ack.
@@ -625,10 +461,10 @@ impl BrpNode {
                 }
                 Vec::new()
             }
-            Message::Assignment {
-                schedule,
-                discount_per_kwh,
-            } => self.on_tso_assignment(schedule, discount_per_kwh, now),
+            // An exported macro offer's assignment back from the TSO.
+            Message::Assignment { schedule, .. } => {
+                self.assign(self.local_schedule(schedule), now, OfferState::Assigned)
+            }
             Message::ResyncRequest => self.on_resync_request(envelope.from, now),
             Message::Heartbeat { seen } => {
                 if Some(envelope.from) == self.parent {
@@ -844,50 +680,10 @@ impl BrpNode {
                     return (Vec::new(), report);
                 }
                 LinkState::Recovering => {
-                    // RECONCILE: traffic resumed after an island. Ship
-                    // the provisional macro assignments FIRST — the TSO
-                    // audits them against its pre-snapshot pool (still
-                    // pooled here → adopt, already assigned elsewhere →
-                    // supersede) — then a full export snapshot that
-                    // re-anchors its pooled view of this node.
-                    let mut out = Vec::new();
-                    if !self.provisional.is_empty() {
-                        let assignments: Vec<ScheduledFlexOffer> =
-                            self.provisional.values().cloned().collect();
-                        self.provisional.clear();
-                        // Log the hand-off as an *empty* report marker:
-                        // replaying it wipes the provisional ledger the
-                        // earlier commit markers rebuilt.
-                        if !self.replaying {
-                            if let Some(wal) = self.wal.as_mut() {
-                                let marker = Envelope::new(
-                                    self.id,
-                                    parent,
-                                    now,
-                                    Message::ProvisionalReport {
-                                        window_start: now,
-                                        assignments: Vec::new(),
-                                    },
-                                );
-                                wal.append(&marker, self.last_ingest_event, false, now);
-                            }
-                        }
-                        out.push(Envelope::new(
-                            self.id,
-                            parent,
-                            now,
-                            Message::ProvisionalReport {
-                                window_start: self.islanded_since.unwrap_or(now),
-                                assignments,
-                            },
-                        ));
-                    }
-                    self.islanded_since = None;
-                    out.extend(self.on_resync_request(parent, now));
+                    // RECONCILE: traffic resumed after an island.
+                    let out = self.reconcile(parent, now);
                     self.health.tick(now);
-                    if !self.replaying {
-                        self.maybe_compact();
-                    }
+                    self.maybe_compact();
                     return (out, report);
                 }
                 LinkState::Up | LinkState::Suspect => {}
@@ -943,12 +739,8 @@ impl BrpNode {
             // Log the flush as a (non-replay-safe) outbound marker:
             // replay treats it as "these staged deltas left the node",
             // caused by the last ingested event.
-            if !self.replaying {
-                if let Some(wal) = self.wal.as_mut() {
-                    wal.append(&env, self.last_ingest_event, false, now);
-                }
-                self.maybe_compact();
-            }
+            self.journal.mark(&env, now);
+            self.maybe_compact();
             return (vec![env], report);
         }
 
@@ -958,6 +750,45 @@ impl BrpNode {
         report.eligible_macro = eligible;
         report.cost = cost;
         (Vec::new(), report)
+    }
+
+    /// The reconciliation hand-off after an island (or a restart, which
+    /// may have died mid-island). Ship the provisional macro assignments
+    /// FIRST — the TSO audits them against its pre-snapshot pool (still
+    /// pooled there → adopt, already assigned elsewhere → supersede) —
+    /// then a full export snapshot that re-anchors its pooled view of
+    /// this node. The hand-off is logged as an *empty* report marker,
+    /// whose replay wipes the provisional ledger the earlier commit
+    /// markers rebuilt.
+    fn reconcile(&mut self, parent: NodeId, now: TimeSlot) -> Vec<Envelope> {
+        let window_start = self.islanded_since.take().unwrap_or(now);
+        let mut out = Vec::new();
+        if !self.provisional.is_empty() {
+            let assignments = std::mem::take(&mut self.provisional)
+                .into_values()
+                .collect();
+            let marker = Envelope::new(
+                self.id,
+                parent,
+                now,
+                Message::ProvisionalReport {
+                    window_start: now,
+                    assignments: Vec::new(),
+                },
+            );
+            self.journal.mark(&marker, now);
+            out.push(Envelope::new(
+                self.id,
+                parent,
+                now,
+                Message::ProvisionalReport {
+                    window_start,
+                    assignments,
+                },
+            ));
+        }
+        out.extend(self.on_resync_request(parent, now));
+        out
     }
 
     /// React to a typed forecast change event on the live plan (see
@@ -982,51 +813,46 @@ impl BrpNode {
     /// cost, or `None` when no plan is live.
     pub fn commit_plan(&mut self, now: TimeSlot) -> Option<(Vec<Envelope>, f64)> {
         let (problem, solution, cost) = self.engine.commit()?;
-        if self.islanded_round {
-            self.islanded_round = false;
-            // Capture the macro-level schedules in export-id space
-            // *before* disaggregation collapses the aggregates: this
-            // ledger is what the TSO audits at reconciliation.
-            let macros: Vec<ScheduledFlexOffer> = solution
-                .to_schedules(&problem)
-                .into_iter()
-                .map(|s| ScheduledFlexOffer {
-                    offer_id: FlexOfferId(self.id.value() * 1_000_000_000 + s.offer_id.value()),
-                    start: s.start,
-                    slot_energies: s.slot_energies,
-                })
-                .collect();
-            let envelopes =
-                self.disaggregate_and_assign(&problem, &solution, now, OfferState::Provisional);
-            for m in &macros {
-                self.provisional.insert(m.offer_id, m.clone());
-            }
-            if let Some(round) = self.islanded_log.last_mut() {
-                round.committed_cost = Some(cost);
-                round.assignments = envelopes.len();
-            }
-            // Commit marker: replaying a non-empty self-addressed report
-            // rebuilds the provisional ledger a crashed island had
-            // accumulated.
-            if !self.replaying && !macros.is_empty() {
-                if let Some(wal) = self.wal.as_mut() {
-                    let marker = Envelope::new(
-                        self.id,
-                        self.id,
-                        now,
-                        Message::ProvisionalReport {
-                            window_start: self.islanded_since.unwrap_or(now),
-                            assignments: macros,
-                        },
-                    );
-                    wal.append(&marker, self.last_ingest_event, false, now);
-                }
-                self.maybe_compact();
-            }
-            return Some((envelopes, cost));
+        let schedules = solution.to_schedules(&problem);
+        if !self.islanded_round {
+            return Some((self.assign(schedules, now, OfferState::Assigned), cost));
         }
-        let envelopes =
-            self.disaggregate_and_assign(&problem, &solution, now, OfferState::Assigned);
+        self.islanded_round = false;
+        // Capture the macro-level schedules in export-id space *before*
+        // disaggregation collapses the aggregates: this ledger is what
+        // the TSO audits at reconciliation.
+        let macros: Vec<ScheduledFlexOffer> = schedules
+            .iter()
+            .map(|s| ScheduledFlexOffer {
+                offer_id: FlexOfferId(self.id.value() * 1_000_000_000 + s.offer_id.value()),
+                start: s.start,
+                slot_energies: s.slot_energies.clone(),
+            })
+            .collect();
+        let envelopes = self.assign(schedules, now, OfferState::Provisional);
+        for m in &macros {
+            self.provisional.insert(m.offer_id, m.clone());
+        }
+        if let Some(round) = self.islanded_log.last_mut() {
+            round.committed_cost = Some(cost);
+            round.assignments = envelopes.len();
+        }
+        // Commit marker: the replay of a non-empty self-addressed report
+        // rebuilds the provisional ledger a crashed island had
+        // accumulated.
+        if !macros.is_empty() {
+            let marker = Envelope::new(
+                self.id,
+                self.id,
+                now,
+                Message::ProvisionalReport {
+                    window_start: self.islanded_since.unwrap_or(now),
+                    assignments: macros,
+                },
+            );
+            self.journal.mark(&marker, now);
+            self.maybe_compact();
+        }
         Some((envelopes, cost))
     }
 
@@ -1056,28 +882,27 @@ impl BrpNode {
         (envelopes, report)
     }
 
-    /// Turn a macro-level solution into micro assignments for prosumers,
-    /// recording each assigned offer in the given lifecycle state
-    /// (`Assigned` for connected rounds, `Provisional` for islanded
-    /// ones).
-    fn disaggregate_and_assign(
+    /// Disaggregate macro schedules (in local aggregate-id space) into
+    /// micro assignments for the prosumers, recording each assigned
+    /// offer in the given lifecycle state (`Assigned` for connected
+    /// rounds and TSO assignments, `Provisional` for islanded ones).
+    /// Every assigned offer's delete runs through the pipeline as ONE
+    /// batch after the loop, so each touched group is flushed once per
+    /// call, not once per micro assignment; in TSO mode the collapsed
+    /// aggregates' `Removed` deltas are staged, so the TSO's pool forgets
+    /// those exports too.
+    fn assign(
         &mut self,
-        problem: &SchedulingProblem,
-        solution: &Solution,
+        schedules: impl IntoIterator<Item = ScheduledFlexOffer>,
         now: TimeSlot,
         state: OfferState,
     ) -> Vec<Envelope> {
         let mut out = Vec::new();
-        // Collect every assigned offer's delete and run them through the
-        // pipeline as one batch after the loop: each touched group is
-        // flushed once per planning round, not once per micro assignment.
         let mut deletes = Vec::new();
-        let schedules = solution.to_schedules(problem);
         for macro_schedule in schedules {
             let agg_id = AggregateId(macro_schedule.offer_id.value());
-            let micro = match self.engine.pipeline().disaggregate(agg_id, &macro_schedule) {
-                Ok(m) => m,
-                Err(_) => continue,
+            let Ok(micro) = self.engine.pipeline().disaggregate(agg_id, &macro_schedule) else {
+                continue;
             };
             for schedule in micro {
                 let Some((offer, source)) = self.pool.remove(&schedule.offer_id) else {
@@ -1114,79 +939,18 @@ impl BrpNode {
         out
     }
 
-    /// Handle an assignment for an exported macro offer coming back from
-    /// the TSO: disaggregate into micro assignments.
-    fn on_tso_assignment(
-        &mut self,
-        schedule: ScheduledFlexOffer,
-        discount: Price,
-        now: TimeSlot,
-    ) -> Vec<Envelope> {
-        self.apply_macro_assignment(schedule, discount, now, OfferState::Assigned)
-    }
-
-    /// Disaggregate one export-space macro schedule into micro
-    /// assignments, recording each in the given lifecycle state. Also
-    /// the replay path for islanded commit markers: the deterministic
-    /// pipeline rebuilds the same aggregates, so re-applying the logged
-    /// macro ledger reproduces the crashed island's pool effect exactly.
-    fn apply_macro_assignment(
-        &mut self,
-        schedule: ScheduledFlexOffer,
-        _discount: Price,
-        now: TimeSlot,
-        state: OfferState,
-    ) -> Vec<Envelope> {
-        let Some(agg_id) = self.exports.get(&schedule.offer_id.value()).copied() else {
-            return Vec::new();
-        };
-        // Rewrite the schedule to reference the local aggregate id.
-        let local = ScheduledFlexOffer {
+    /// Rewrite an export-space macro schedule (a TSO assignment, or an
+    /// islanded commit marker on replay) onto the local aggregate it
+    /// exports; `None` once that export is gone. The deterministic
+    /// pipeline rebuilds the same aggregates on replay, so re-applying a
+    /// logged macro ledger reproduces the crashed island's pool effect
+    /// exactly.
+    fn local_schedule(&self, schedule: ScheduledFlexOffer) -> Option<ScheduledFlexOffer> {
+        let agg_id = self.exports.get(&schedule.offer_id.value())?;
+        Some(ScheduledFlexOffer {
             offer_id: FlexOfferId(agg_id.value()),
-            start: schedule.start,
-            slot_energies: schedule.slot_energies,
-        };
-        let micro = match self.engine.pipeline().disaggregate(agg_id, &local) {
-            Ok(m) => m,
-            Err(_) => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        let mut deletes = Vec::new();
-        for s in micro {
-            let Some((offer, source)) = self.pool.remove(&s.offer_id) else {
-                continue;
-            };
-            deletes.push(FlexOfferUpdate::Delete(s.offer_id));
-            let discount = self.config.pricing.discount_per_kwh(&offer, now);
-            self.store.record_offer(OfferFact {
-                offer: offer.id(),
-                actor: offer.owner(),
-                slot: now,
-                state,
-            });
-            self.store.record_schedule(ScheduleFact {
-                offer: offer.id(),
-                start: s.start,
-                total_kwh: s.total_energy().kwh(),
-                discount,
-            });
-            out.push(Envelope::new(
-                self.id,
-                source,
-                now,
-                Message::Assignment {
-                    schedule: s,
-                    discount_per_kwh: discount,
-                },
-            ));
-        }
-        if !deletes.is_empty() {
-            // Deleting the assigned members collapses the aggregate; the
-            // resulting `Removed` delta is staged so the TSO's pool
-            // forgets the export too.
-            self.apply_updates(deletes);
-        }
-        out
+            ..schedule
+        })
     }
 
     /// Evaluate how a given set of realized flexible loads would cost
@@ -1194,6 +958,87 @@ impl BrpNode {
     /// comparisons.
     pub fn cost_of(problem: &SchedulingProblem, solution: &Solution) -> f64 {
         evaluate(problem, solution).total()
+    }
+}
+
+impl Durable for BrpNode {
+    type Snapshot = BrpSnapshot;
+
+    fn journal(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    fn snapshot(&self) -> BrpSnapshot {
+        let mut rx: Vec<_> = self
+            .rx
+            .iter()
+            .map(|(sender, dedup)| {
+                let (below, seen, dups) = dedup.export_state();
+                (*sender, (below, (seen, dups)))
+            })
+            .collect();
+        // The rx map is a HashMap: sort so snapshot bytes (and thus WAL
+        // contents) are identical across runs.
+        rx.sort_unstable_by_key(|row| row.0);
+        BrpSnapshot {
+            pool: self
+                .pool
+                .values()
+                .map(|(offer, from)| (offer.clone(), *from))
+                .collect(),
+            rx,
+        }
+    }
+
+    /// The pool is re-fed through the aggregation pipeline (which
+    /// rebuilds aggregates, exports and outbox as a full refresh — the
+    /// parent's pooled view is then reconciled by the recovery resync
+    /// snapshot), and the duplicate filters resume where the crashed
+    /// node's windows stood.
+    fn restore(&mut self, snap: BrpSnapshot) {
+        let mut inserts = Vec::with_capacity(snap.pool.len());
+        for (offer, from) in snap.pool {
+            inserts.push(FlexOfferUpdate::Insert(offer.clone()));
+            self.pool.insert(offer.id(), (offer, from));
+        }
+        if !inserts.is_empty() {
+            self.apply_updates(inserts);
+        }
+        self.rx.clear();
+        for (sender, (below, (seen, dups))) in snap.rx {
+            self.rx
+                .insert(sender, DedupRx::from_state(below, seen, dups));
+        }
+    }
+
+    /// Ingests re-drive the real handler (its regenerated replies were
+    /// already sent pre-crash and are dropped); this node's own outbound
+    /// markers replay as the state transitions they record.
+    fn replay(&mut self, rec: EventRecord) {
+        if rec.replay_safe && rec.envelope.to == self.id {
+            let _ = BrpNode::handle(self, rec.envelope, rec.recorded_at);
+        } else if rec.envelope.from == self.id {
+            match rec.envelope.message {
+                // Outbox-flush marker: these staged deltas left the node
+                // before the crash.
+                Message::MacroOfferDeltas(_) => self.outbox.clear(),
+                // Provisional markers: non-empty = an islanded commit's
+                // macro ledger (re-apply it so the pool effect of the
+                // crashed commit is reproduced); empty = the
+                // reconciliation hand-off that cleared it.
+                Message::ProvisionalReport { assignments, .. } => {
+                    if assignments.is_empty() {
+                        self.provisional.clear();
+                    }
+                    for s in assignments {
+                        self.provisional.insert(s.offer_id, s.clone());
+                        let local = self.local_schedule(s);
+                        self.assign(local, rec.recorded_at, OfferState::Provisional);
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 }
 
@@ -1237,7 +1082,7 @@ impl NodeRuntime for BrpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirabel_core::{EnergyRange, Profile};
+    use mirabel_core::{EnergyRange, Price, Profile};
 
     fn offer(id: u64, owner: u64, es: i64, deadline: i64, tf: u32) -> FlexOffer {
         FlexOffer::builder(id, owner)

@@ -109,16 +109,20 @@
 //!   star-schema store (dimension + fact tables, \[6\]) materializing
 //!   the node's event history into queryable facts;
 //! * [`wal`] — the **event-sourced persistence layer**: every envelope
-//!   a node ingests (and every outbox flush it emits) is encoded with
+//!   a node ingests (and every outbound marker it emits) is encoded with
 //!   the [`mirabel_core::codec::Wire`] binary codec, wrapped in an
 //!   [`EventRecord`] (`event_id` / `causation_id` /
 //!   `replay_safe`) and appended to a pluggable
-//!   [`WalStore`] *before* the node's state mutates.
-//!   Snapshot-then-truncate compaction bounds replay length; a crashed
-//!   BRP rebuilds from snapshot + tail replay
-//!   ([`BrpNode::recover`](brp::BrpNode::recover)), re-registers (the
-//!   dead-letter queue replays what it missed), and re-anchors its
-//!   sequenced streams through the resync-snapshot path;
+//!   [`WalStore`] *before* the node's state mutates. The BRP and the TSO
+//!   share one durable-node core: journaling, snapshot-then-truncate
+//!   compaction (bounding replay length) and recovery, with each role
+//!   supplying only its snapshot contents and replay rules. A crashed
+//!   node rebuilds from snapshot + tail replay
+//!   ([`BrpNode::recover`](brp::BrpNode::recover),
+//!   [`TsoNode::recover`](tso::TsoNode::recover)) — an undecodable
+//!   snapshot fails recovery rather than being skipped — and re-anchors
+//!   its sequenced streams through the resync-snapshot path; a BRP also
+//!   re-registers (the dead-letter queue replays what it missed);
 //! * [`prosumer`] / [`brp`] / [`tso`] — the three node roles, wiring the
 //!   aggregation, forecasting, scheduling and negotiation crates
 //!   together on top of the shared runtime;

@@ -43,10 +43,10 @@ use crate::message::{Envelope, Message};
 use crate::runtime::{
     Node, NodeRuntime, OfferDeltaReport, PlanEngine, PlanReport, ReplanReport, RuntimeConfig,
 };
-use crate::wal::{NodeWal, WalConfig, WalStore};
+use crate::wal::{self, Durable, EventRecord, Journal, NodeWal, WalConfig, WalStore};
 use crate::wire::{SequencedRx, SequencedRxState, StreamStats};
 use mirabel_aggregate::{AggregationParams, AggregationPipeline, FlexOfferUpdate};
-use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
+use mirabel_core::codec::{CodecError, Wire};
 use mirabel_core::{AggregateId, FlexOffer, FlexOfferId, NodeId, Price, TimeSlot};
 use mirabel_forecast::ForecastEvent;
 use mirabel_schedule::{MarketPrices, SchedulingProblem, Solution};
@@ -82,13 +82,9 @@ pub struct TsoNode {
     /// Provisional assignments superseded at reconciliation: the TSO
     /// had already decided the offer globally.
     provisional_superseded: u64,
-    /// Write-ahead log (append-before-apply), when attached.
-    wal: Option<NodeWal>,
-    /// Event id of the envelope currently being ingested.
-    last_ingest_event: Option<u64>,
-    /// True while [`recover`](Self::recover) replays the WAL tail:
-    /// replayed envelopes must not re-append.
-    replaying: bool,
+    /// Write-ahead journal (append-before-apply), when a WAL is
+    /// attached.
+    journal: Journal,
 }
 
 impl TsoNode {
@@ -120,9 +116,7 @@ impl TsoNode {
             applied: BTreeMap::new(),
             provisional_adopted: 0,
             provisional_superseded: 0,
-            wal: None,
-            last_ingest_event: None,
-            replaying: false,
+            journal: Journal::default(),
         }
     }
 
@@ -195,11 +189,7 @@ impl TsoNode {
     /// With a WAL attached the envelope is appended **before** any state
     /// mutates (append-before-apply), so a crash mid-handle replays it.
     pub fn handle(&mut self, envelope: Envelope, now: TimeSlot) -> Vec<Envelope> {
-        if !self.replaying {
-            if let Some(wal) = self.wal.as_mut() {
-                self.last_ingest_event = Some(wal.append(&envelope, None, true, now));
-            }
-        }
+        self.journal.ingest(&envelope, now);
         let out = self.dispatch(envelope, now);
         self.maybe_compact();
         out
@@ -489,10 +479,8 @@ impl TsoNode {
         // recovery re-applies its pool deletion ("this offer left the
         // pool here") without re-planning — the TSO's analogue of the
         // BRP's outbox-flush markers.
-        if let Some(wal) = self.wal.as_mut() {
-            for env in &out {
-                wal.append(env, self.last_ingest_event, false, now);
-            }
+        for env in &out {
+            self.journal.mark(env, now);
         }
         self.maybe_compact();
         Some((out, cost))
@@ -507,68 +495,18 @@ impl TsoNode {
     /// appended before it is applied, and committed assignments are
     /// appended as replay-unsafe markers.
     pub fn attach_wal(&mut self, wal: NodeWal) {
-        self.wal = Some(wal);
+        self.journal.wal = Some(wal);
     }
 
     /// The attached WAL, if any.
     pub fn wal(&self) -> Option<&NodeWal> {
-        self.wal.as_ref()
+        self.journal.wal.as_ref()
     }
 
     /// Detach and return the WAL — the "disk" a simulated crash leaves
     /// behind for [`recover`](Self::recover).
     pub fn take_wal(&mut self) -> Option<NodeWal> {
-        self.wal.take()
-    }
-
-    /// Encode the node's recoverable state for a WAL snapshot.
-    fn snapshot(&self) -> TsoSnapshot {
-        TsoSnapshot {
-            pool: self
-                .sources
-                .iter()
-                .filter_map(|(id, src)| {
-                    self.engine.pipeline().offer(*id).map(|o| (o.clone(), *src))
-                })
-                .collect(),
-            rx: self
-                .rx
-                .iter()
-                .map(|(node, rx)| (*node, rx.export_state()))
-                .collect(),
-            applied: self.applied.iter().map(|(n, c)| (*n, *c)).collect(),
-            provisional_adopted: self.provisional_adopted,
-            provisional_superseded: self.provisional_superseded,
-        }
-    }
-
-    /// Re-feed a decoded snapshot into a fresh node.
-    fn restore_snapshot(&mut self, snap: TsoSnapshot) {
-        let mut inserts = Vec::with_capacity(snap.pool.len());
-        for (offer, src) in snap.pool {
-            self.sources.insert(offer.id(), src);
-            inserts.push(FlexOfferUpdate::Insert(offer));
-        }
-        if !inserts.is_empty() {
-            self.engine.apply_offer_updates(inserts);
-        }
-        for (node, state) in snap.rx {
-            self.rx.insert(node, SequencedRx::from_state(state));
-        }
-        self.applied = snap.applied.into_iter().collect();
-        self.provisional_adopted = snap.provisional_adopted;
-        self.provisional_superseded = snap.provisional_superseded;
-    }
-
-    /// Install a snapshot and truncate the log when the tail is long
-    /// enough (see [`WalConfig::snapshot_every`]).
-    fn maybe_compact(&mut self) {
-        if self.wal.as_ref().is_some_and(NodeWal::wants_snapshot) {
-            let bytes = self.snapshot().to_bytes();
-            if let Some(wal) = self.wal.as_mut() {
-                wal.install_snapshot(&bytes);
-            }
-        }
+        self.journal.wal.take()
     }
 
     /// Rebuild a crashed TSO from the store its WAL left behind:
@@ -577,7 +515,9 @@ impl TsoNode {
     /// pool deletions), then re-anchor every known BRP through the
     /// resync path — the returned envelopes are one
     /// [`Message::ResyncRequest`] per BRP, asking each for the bounded
-    /// state snapshot that heals whatever the crash window lost.
+    /// state snapshot that heals whatever the crash window lost. A
+    /// snapshot that does not decode fails with
+    /// [`std::io::ErrorKind::InvalidData`].
     #[allow(clippy::type_complexity)]
     pub fn recover(
         id: NodeId,
@@ -587,32 +527,11 @@ impl TsoNode {
         wal_config: WalConfig,
         now: TimeSlot,
     ) -> std::io::Result<(TsoNode, Vec<Envelope>)> {
-        let (wal, snapshot, records) = NodeWal::recover(store, wal_config)?;
-        let mut node = TsoNode::with_config(id, aggregation, cfg);
-        if let Some(bytes) = snapshot {
-            if let Ok(snap) = TsoSnapshot::from_bytes(&bytes) {
-                node.restore_snapshot(snap);
-            }
-        }
-        node.replaying = true;
-        for rec in records {
-            if rec.envelope.from == id {
-                // Replay-unsafe commit marker: the offer left the pool
-                // when this assignment was sent.
-                if let Message::Assignment { schedule, .. } = &rec.envelope.message {
-                    if node.sources.remove(&schedule.offer_id).is_some() {
-                        node.engine
-                            .apply_offer_updates(vec![FlexOfferUpdate::Delete(schedule.offer_id)]);
-                    }
-                }
-            } else if rec.replay_safe && rec.envelope.to == id {
-                // Replies regenerated during replay were already sent
-                // (or lost) in the pre-crash timeline; drop them.
-                let _ = node.dispatch(rec.envelope, rec.recorded_at);
-            }
-        }
-        node.replaying = false;
-        node.attach_wal(wal);
+        let node = wal::recover(
+            TsoNode::with_config(id, aggregation, cfg),
+            store,
+            wal_config,
+        )?;
         let out = node
             .rx
             .keys()
@@ -644,7 +563,7 @@ impl TsoNode {
 /// applied-flush counters behind heartbeat acks, and the reconciliation
 /// audit counters.
 #[derive(Debug, Clone, PartialEq)]
-struct TsoSnapshot {
+pub(crate) struct TsoSnapshot {
     pool: Vec<(FlexOffer, NodeId)>,
     rx: Vec<(NodeId, SequencedRxState)>,
     applied: Vec<(NodeId, u64)>,
@@ -654,48 +573,85 @@ struct TsoSnapshot {
 
 impl Wire for TsoSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.pool.len() as u64);
-        for (offer, src) in &self.pool {
-            offer.encode(out);
-            src.encode(out);
-        }
-        put_u64(out, self.rx.len() as u64);
-        for (node, state) in &self.rx {
-            node.encode(out);
-            state.encode(out);
-        }
-        put_u64(out, self.applied.len() as u64);
-        for (node, count) in &self.applied {
-            node.encode(out);
-            count.encode(out);
-        }
-        put_u64(out, self.provisional_adopted);
-        put_u64(out, self.provisional_superseded);
+        self.pool.encode(out);
+        self.rx.encode(out);
+        self.applied.encode(out);
+        self.provisional_adopted.encode(out);
+        self.provisional_superseded.encode(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let pool_len = take_u64(buf)? as usize;
-        let mut pool = Vec::with_capacity(pool_len.min(1024));
-        for _ in 0..pool_len {
-            pool.push((FlexOffer::decode(buf)?, NodeId::decode(buf)?));
-        }
-        let rx_len = take_u64(buf)? as usize;
-        let mut rx = Vec::with_capacity(rx_len.min(1024));
-        for _ in 0..rx_len {
-            rx.push((NodeId::decode(buf)?, SequencedRxState::decode(buf)?));
-        }
-        let applied_len = take_u64(buf)? as usize;
-        let mut applied = Vec::with_capacity(applied_len.min(1024));
-        for _ in 0..applied_len {
-            applied.push((NodeId::decode(buf)?, u64::decode(buf)?));
-        }
         Ok(TsoSnapshot {
-            pool,
-            rx,
-            applied,
-            provisional_adopted: take_u64(buf)?,
-            provisional_superseded: take_u64(buf)?,
+            pool: Vec::decode(buf)?,
+            rx: Vec::decode(buf)?,
+            applied: Vec::decode(buf)?,
+            provisional_adopted: u64::decode(buf)?,
+            provisional_superseded: u64::decode(buf)?,
         })
+    }
+}
+
+impl Durable for TsoNode {
+    type Snapshot = TsoSnapshot;
+
+    fn journal(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    fn snapshot(&self) -> TsoSnapshot {
+        TsoSnapshot {
+            pool: self
+                .sources
+                .iter()
+                .filter_map(|(id, src)| {
+                    self.engine.pipeline().offer(*id).map(|o| (o.clone(), *src))
+                })
+                .collect(),
+            rx: self
+                .rx
+                .iter()
+                .map(|(node, rx)| (*node, rx.export_state()))
+                .collect(),
+            applied: self.applied.iter().map(|(n, c)| (*n, *c)).collect(),
+            provisional_adopted: self.provisional_adopted,
+            provisional_superseded: self.provisional_superseded,
+        }
+    }
+
+    fn restore(&mut self, snap: TsoSnapshot) {
+        let mut inserts = Vec::with_capacity(snap.pool.len());
+        for (offer, src) in snap.pool {
+            self.sources.insert(offer.id(), src);
+            inserts.push(FlexOfferUpdate::Insert(offer));
+        }
+        if !inserts.is_empty() {
+            self.engine.apply_offer_updates(inserts);
+        }
+        for (node, state) in snap.rx {
+            self.rx.insert(node, SequencedRx::from_state(state));
+        }
+        self.applied = snap.applied.into_iter().collect();
+        self.provisional_adopted = snap.provisional_adopted;
+        self.provisional_superseded = snap.provisional_superseded;
+    }
+
+    /// Ingests re-dispatch with their original clock; assignment markers
+    /// re-apply their pool deletions.
+    fn replay(&mut self, rec: EventRecord) {
+        if rec.envelope.from == self.id {
+            // Replay-unsafe commit marker: the offer left the pool when
+            // this assignment was sent.
+            if let Message::Assignment { schedule, .. } = &rec.envelope.message {
+                if self.sources.remove(&schedule.offer_id).is_some() {
+                    self.engine
+                        .apply_offer_updates(vec![FlexOfferUpdate::Delete(schedule.offer_id)]);
+                }
+            }
+        } else if rec.replay_safe && rec.envelope.to == self.id {
+            // Replies regenerated during replay were already sent (or
+            // lost) in the pre-crash timeline; drop them.
+            let _ = self.dispatch(rec.envelope, rec.recorded_at);
+        }
     }
 }
 

@@ -4,14 +4,24 @@
 //! The paper's EDMS "stores flex-offers, supply and demand measurements,
 //! forecasts, etc." so that every actor level can recover and audit its
 //! state. This module is that persistence substrate for the
-//! reproduction: every envelope a node ingests (and every outbox flush
-//! it emits) is encoded with the [`Wire`] codec, wrapped in an
+//! reproduction: every envelope a node ingests (and every outbound
+//! marker it emits) is encoded with the [`Wire`] codec, wrapped in an
 //! [`EventRecord`] — `event_id`, `causation_id`, `replay_safe` — and
 //! appended to a [`WalStore`] *before* the node mutates its in-memory
-//! state. A crashed node then rebuilds bit-for-bit recoverable state by
-//! restoring the latest snapshot and replaying the events appended
-//! since (see `BrpNode::recover`), and re-anchors its sequenced streams
-//! through the existing resync-snapshot path.
+//! state.
+//!
+//! Both durable node roles — `BrpNode` and `TsoNode` — run on one
+//! shared core here: the node's journal (the attached [`NodeWal`] plus
+//! the causation link for outbound markers), snapshot-then-truncate
+//! compaction, and the single recovery path. A node supplies only its
+//! snapshot contents (a [`Wire`] type), how to restore them, and how to
+//! replay one logged record. Recovery decodes and restores the latest
+//! snapshot, replays the events appended since, and only then resumes
+//! the WAL, so replayed events are never logged twice. A snapshot that
+//! does not decode fails the recovery with
+//! [`std::io::ErrorKind::InvalidData`] instead of silently rebuilding
+//! the node from the tail alone. Each role then re-anchors its
+//! sequenced streams through the existing resync-snapshot path.
 //!
 //! Replay length is bounded by **snapshot-then-truncate compaction**:
 //! every [`WalConfig::snapshot_every`] appended events the owning node
@@ -26,7 +36,7 @@ use crate::message::Envelope;
 use mirabel_core::codec::{put_u64, take_u64, CodecError, Wire};
 use mirabel_core::{NodeId, RegionId, TimeSlot};
 use std::fs;
-use std::io::{Read, Write as IoWrite};
+use std::io::{self, Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
 
 /// Tuning knobs for a node's WAL.
@@ -360,26 +370,22 @@ impl NodeWal {
 
     /// Reopen a store after a crash: returns the WAL (event-id sequence
     /// resumed), the node snapshot installed last (if any), and the
-    /// event records appended since it, in order. Undecodable tail
-    /// records end the replay early rather than failing it.
+    /// event records appended since it, in order. A snapshot whose
+    /// event-id header does not decode fails with
+    /// [`io::ErrorKind::InvalidData`]; undecodable tail records end the
+    /// replay early rather than failing it.
     pub fn recover(
         mut store: Box<dyn WalStore>,
         config: WalConfig,
-    ) -> std::io::Result<(NodeWal, Option<Vec<u8>>, Vec<EventRecord>)> {
+    ) -> io::Result<(NodeWal, Option<Vec<u8>>, Vec<EventRecord>)> {
         let (snapshot_bytes, frames) = store.load()?;
-        let mut next_event_id = 0;
-        let snapshot = match snapshot_bytes {
+        let (mut next_event_id, snapshot) = match snapshot_bytes {
             Some(bytes) => {
                 let mut buf = bytes.as_slice();
-                match take_u64(&mut buf) {
-                    Ok(id) => {
-                        next_event_id = id;
-                        Some(buf.to_vec())
-                    }
-                    Err(_) => None,
-                }
+                let next_event_id = take_u64(&mut buf).map_err(invalid_data)?;
+                (next_event_id, Some(buf.to_vec()))
             }
-            None => None,
+            None => (0, None),
         };
         let mut records = Vec::with_capacity(frames.len());
         for frame in &frames {
@@ -466,6 +472,99 @@ impl NodeWal {
     pub fn into_store(self) -> Box<dyn WalStore> {
         self.store
     }
+}
+
+fn invalid_data(e: CodecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// A durable node's journal: the attached WAL (if any) plus the event id
+/// of the most recently ingested envelope — the causation link stamped
+/// onto the outbound markers it triggers.
+///
+/// Recovery attaches the WAL only after replay, so while a node replays
+/// nothing is attached and every append is a no-op: replayed events are
+/// never logged twice.
+#[derive(Debug, Default)]
+pub(crate) struct Journal {
+    pub(crate) wal: Option<NodeWal>,
+    last_ingest_event: Option<u64>,
+}
+
+impl Journal {
+    /// Append an accepted inbound envelope (replay-safe) **before** the
+    /// node applies it. `now` pins the handling clock, so replayed
+    /// deadline decisions match the originals.
+    pub(crate) fn ingest(&mut self, envelope: &Envelope, now: TimeSlot) {
+        if let Some(wal) = self.wal.as_mut() {
+            self.last_ingest_event = Some(wal.append(envelope, None, true, now));
+        }
+    }
+
+    /// Append a replay-unsafe outbound marker caused by the last ingested
+    /// envelope: recovery replays it as the state transition it records,
+    /// never through the message handler.
+    pub(crate) fn mark(&mut self, envelope: &Envelope, now: TimeSlot) {
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append(envelope, self.last_ingest_event, false, now);
+        }
+    }
+}
+
+/// A node made durable by a [`Journal`]: it supplies its snapshot
+/// contents, their restore, and its per-record replay rules; compaction
+/// and recovery are shared.
+pub(crate) trait Durable: Sized {
+    /// The recoverable state a compaction snapshot carries.
+    type Snapshot: Wire;
+
+    fn journal(&mut self) -> &mut Journal;
+
+    /// Capture the node's recoverable state.
+    fn snapshot(&self) -> Self::Snapshot;
+
+    /// Re-feed a decoded snapshot into a fresh node.
+    fn restore(&mut self, snapshot: Self::Snapshot);
+
+    /// Re-apply one record logged after the snapshot, with the WAL still
+    /// detached.
+    fn replay(&mut self, record: EventRecord);
+
+    /// Install a compacting snapshot once the WAL tail has reached
+    /// [`WalConfig::snapshot_every`] events.
+    fn maybe_compact(&mut self) {
+        if self
+            .journal()
+            .wal
+            .as_ref()
+            .is_some_and(NodeWal::wants_snapshot)
+        {
+            let bytes = self.snapshot().to_bytes();
+            if let Some(wal) = self.journal().wal.as_mut() {
+                wal.install_snapshot(&bytes);
+            }
+        }
+    }
+}
+
+/// Rebuild a crashed node from the store its WAL left behind: restore
+/// the latest snapshot into the fresh `node`, replay the tail, then
+/// resume the WAL. A snapshot that does not decode — or leaves trailing
+/// bytes — fails with [`io::ErrorKind::InvalidData`].
+pub(crate) fn recover<N: Durable>(
+    mut node: N,
+    store: Box<dyn WalStore>,
+    config: WalConfig,
+) -> io::Result<N> {
+    let (wal, snapshot, records) = NodeWal::recover(store, config)?;
+    if let Some(bytes) = snapshot {
+        node.restore(N::Snapshot::from_bytes(&bytes).map_err(invalid_data)?);
+    }
+    for record in records {
+        node.replay(record);
+    }
+    node.journal().wal = Some(wal);
+    Ok(node)
 }
 
 #[cfg(test)]
